@@ -157,11 +157,9 @@ func (lt *layerTrace) report(r *report, ps, ref *phaseStats, out output) {
 	}
 	queryKind := map[opKind]spanKind{opNearby: kindKNN, opWithin: kindRangeList}
 	var shardQ, treeQ [numOps]spanStats
-	var shardSelf [numOps]float64
 	for _, o := range []opKind{opNearby, opWithin} {
 		shardQ[o] = trRead.filter(layerShard, queryKind[o], lt.fromRead, lt.toRead)
 		treeQ[o] = trRead.filter(layerTree, queryKind[o], lt.fromRead, lt.toRead)
-		shardSelf[o] = selfTime(shardQ[o].matched, treeQ[o].matched)
 		r.add("service.self_us."+opNames[o], us(dispatch[o]-shardQ[o].meanDur()), "us")
 	}
 	for _, o := range []opKind{opNearby, opWithin} {
@@ -258,15 +256,15 @@ func (lt *layerTrace) report(r *report, ps, ref *phaseStats, out output) {
 	}
 	r.add("loadgen.fail_frac", ratio(float64(out.Failed), float64(out.Attempted)), "1")
 
-	// trace: what the spans leave unexplained, and what they cost.
+	// trace: what no measured span explains, and what the spans cost.
+	late := mean(ps.late.v)
 	for o := opKind(0); o < numOps; o++ {
-		attributed := (client[o] - dispatch[o]) + dispatch[o]
+		got := late + dispatch[o]
 		if o != opSet {
-			// wire + service self + shard self + spactree
-			attributed = (client[o] - dispatch[o]) + (dispatch[o] - shardQ[o].meanDur()) +
-				shardSelf[o] + ratio(float64(treeQ[o].durSum), float64(shardQ[o].count))
+			nDispatch := int(lt.delta(nodeOf[o], `psi_query_duration_ns_count{op="`+opLabel(o)+`"}`))
+			got = attributed(late, dispatch[o], nDispatch, shardQ[o].matched, treeQ[o].matched)
 		}
-		r.add("trace.unattributed_frac."+opNames[o], ratio(client[o]-attributed, client[o]), "1")
+		r.add("trace.unattributed_frac."+opNames[o], ratio(client[o]-got, client[o]), "1")
 	}
 	var all, allRef []int64
 	for o := range ps.lat {

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -137,6 +136,7 @@ type gen struct {
 
 	visible    []samples // per measured sub-window, by ack time
 	probeFails uint64
+	probeErr   error
 }
 
 type markerEv struct {
@@ -243,12 +243,12 @@ func (g *gen) run(ph phase) (*phaseStats, error) {
 	for i := range g.visible {
 		g.visible[i] = newSamples(int(window/max(ph.markerGap.Seconds(), 1e-3))/ph.windows + 64)
 	}
-	g.probeFails = 0
+	g.probeFails, g.probeErr = 0, nil
 	stop := make(chan struct{})
 	var probeWG sync.WaitGroup
 	if ph.markerGap > 0 {
 		probeWG.Add(1)
-		go func() { defer probeWG.Done(); g.probe(base, ph, stop) }()
+		go func() { defer probeWG.Done(); g.probeErr = g.probe(base, ph, stop) }()
 	}
 	var wg sync.WaitGroup
 	for _, c := range g.conns {
@@ -273,7 +273,7 @@ func (g *gen) run(ph phase) (*phaseStats, error) {
 
 	ps := &phaseStats{ph: ph, visible: g.visible}
 	ps.failed += g.probeFails
-	var errs []error
+	errs := []error{g.probeErr}
 	for _, c := range g.conns {
 		errs = append(errs, c.sendErr, c.recvErr)
 		for o := range c.lat {
@@ -299,32 +299,19 @@ func (g *gen) run(ph phase) (*phaseStats, error) {
 	for i := range g.visible {
 		ps.dropped += g.visible[i].dropped
 	}
-	if verbose {
-		fmt.Fprintf(os.Stderr, "phase %6.0f/s %v: achieved %6.0f/s late p99 %.3fms", ph.rate, ph.dur, ps.achieved, ms(quantile(ps.late.v, 0.99)))
-		for o := range ps.lat {
-			fmt.Fprintf(os.Stderr, " %s %d p50 %.3f p99 %.3f", opNames[o], count(ps.lat[o]), windowed(ps.lat[o], 0.5), windowed(ps.lat[o], 0.99))
-		}
-		fmt.Fprintf(os.Stderr, " visible %d p50 %.3f p99 %.3f failed %d\n", count(ps.visible), windowed(ps.visible, 0.5), windowed(ps.visible, 0.99), ps.failed)
-		fmt.Fprintf(os.Stderr, "  set p99 by group %.2f\n", groupQuantiles(ps.lat[opSet], 0.99))
-	}
 	return ps, errors.Join(errs...)
 }
 
 // mono is the time since base in nanoseconds.
 func mono(base time.Time) int64 { return int64(time.Since(base)) }
 
-// sleepFor parks the calling goroutine for about d ns. It uses the
-// runtime timer even though an idle process wakes up to a millisecond
-// late: a goroutine blocked in a raw nanosleep keeps its P until the
-// runtime's monitor retakes it, and on two cores two sleeping senders
-// starve the server of both Ps, which made p99s swing several-fold
-// between identical runs. The lateness this costs is measured
-// (loadgen.late_p99_ms) and charged to latency, which counts from due
-// time.
-func sleepFor(d int64) { time.Sleep(time.Duration(d)) }
-
 // send writes the phase's schedule, then the closing sentinel.
 func (c *connLoad) send() error {
+	sl, err := newSleeper()
+	if err != nil {
+		return err
+	}
+	defer sl.close()
 	dur := int64(c.ph.dur)
 	from := int64(c.ph.measureFrom)
 	for i := int64(0); ; i++ {
@@ -340,14 +327,16 @@ func (c *connLoad) send() error {
 				}
 			}
 			if d := due - mono(c.base); d > 0 {
-				sleepFor(d)
+				if err := sl.sleep(d); err != nil {
+					return err
+				}
 			}
 			now = mono(c.base)
 		}
 		if due >= from {
 			c.late.add(max(now-due, 0))
 		}
-		if err := c.waitRing(); err != nil {
+		if err := c.waitRing(sl); err != nil {
 			return err
 		}
 		h := c.head.Load()
@@ -358,7 +347,7 @@ func (c *connLoad) send() error {
 			return err
 		}
 	}
-	if err := c.waitRing(); err != nil {
+	if err := c.waitRing(sl); err != nil {
 		return err
 	}
 	h := c.head.Load()
@@ -372,12 +361,14 @@ func (c *connLoad) send() error {
 }
 
 // waitRing blocks while the ring is full.
-func (c *connLoad) waitRing() error {
+func (c *connLoad) waitRing(sl *sleeper) error {
 	for c.head.Load()-c.tail.Load() >= ringSize {
 		if err := c.bw.Flush(); err != nil {
 			return fmt.Errorf("send: %w", err)
 		}
-		sleepFor(50_000)
+		if err := sl.sleep(50_000); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -561,7 +552,12 @@ const probeTimeout = 5 * time.Second
 
 // probe waits for each acknowledged marker SET to become visible to an
 // in-process WithinIDsAppend on the node the workload reads from.
-func (g *gen) probe(base time.Time, ph phase, stop chan struct{}) {
+func (g *gen) probe(base time.Time, ph phase, stop chan struct{}) error {
+	sl, err := newSleeper()
+	if err != nil {
+		return err
+	}
+	defer sl.close()
 	dst := make([]collection.Entry[string], 0, 64)
 	pending := make([]markerEv, 0, maxMarkers)
 	for {
@@ -576,7 +572,7 @@ func (g *gen) probe(base time.Time, ph phase, stop chan struct{}) {
 				case ev := <-g.probeCh:
 					pending = append(pending, ev)
 				default:
-					return
+					return nil
 				}
 			}
 		}
@@ -607,7 +603,9 @@ func (g *gen) probe(base time.Time, ph phase, stop chan struct{}) {
 		}
 		pending = kept
 		if len(pending) > 0 {
-			sleepFor(probePoll)
+			if err := sl.sleep(probePoll); err != nil {
+				return err
+			}
 		}
 	}
 }

@@ -27,9 +27,6 @@ import (
 // warmUp is discarded load at the start of every timed phase.
 const warmUp = time.Second
 
-// verbose prints every phase's summary to standard error.
-var verbose bool
-
 // markerGap is the visibility marker cadence.
 const markerGap = 2 * time.Millisecond
 
@@ -73,7 +70,6 @@ func run() int {
 	seed := flag.Int64("seed", 1, "seed of the generated population and requests")
 	seconds := flag.Int("seconds", 10, "measured seconds per run")
 	trace := flag.Int("trace", 0, "0: end-to-end metrics; 1: per-layer metrics from a traced run")
-	flag.BoolVar(&verbose, "v", false, "print every load phase's summary to standard error")
 	flag.Parse()
 	w, ok := specs[*name]
 	if !ok || *seconds < 1 || (*trace != 0 && *trace != 1) {
@@ -209,7 +205,7 @@ func bootstraps(st *stack) float64 {
 	return scrape(st.foll.reg)["psi_repl_bootstraps_total"]
 }
 
-// sloStep is one rung of the SLO search: a fifth of warm-up, then the
+// sloStep is one rung of the SLO search: a fifth of the rung, then the
 // measured stretch whose p99 (windowed, as in the timed phase) is held
 // to the limit.
 const sloStep = 1500 * time.Millisecond

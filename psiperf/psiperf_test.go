@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -208,6 +209,33 @@ func TestSelfTime(t *testing.T) {
 	// Parent 1: 20 of 60 covered.
 	if got, want := selfTime(parents, children), (40.0+40.0)/2; got != want {
 		t.Errorf("selfTime = %v, want %v", got, want)
+	}
+}
+
+// TestAttributedDetectsMissingLayer pins that a layer whose spans are
+// missing leaves its time unattributed instead of being absorbed by its
+// parent: with every layer recorded the spans explain late + dispatch,
+// and dropping the child or the shard spans explains less.
+func TestAttributedDetectsMissingLayer(t *testing.T) {
+	shard := []span{{start: 0, end: 100}, {start: 200, end: 260}}
+	tree := []span{{start: 10, end: 40}, {start: 30, end: 60}, {start: 210, end: 230}}
+	const late, dispatch = 5.0, 120.0
+	cases := []struct {
+		name        string
+		n           int
+		shard, tree []span
+		want        float64
+	}{
+		{"all layers", 2, shard, tree, late + dispatch},
+		{"no child spans", 2, shard, nil, late + dispatch - 80},
+		{"no shard spans", 2, nil, tree, late},
+		{"half the requests traced", 4, shard, tree, late + dispatch/2},
+		{"no dispatch histogram", 0, shard, tree, late},
+	}
+	for _, c := range cases {
+		if got := attributed(late, dispatch, c.n, slices.Clone(c.shard), slices.Clone(c.tree)); got != c.want {
+			t.Errorf("%s: attributed = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

@@ -180,34 +180,70 @@ func selfTime(parents, children []span) float64 {
 	if len(parents) == 0 {
 		return 0
 	}
-	slices.SortFunc(children, func(a, b span) int { return int(a.start - b.start) })
+	sortByStart(children)
 	var self int64
 	for _, p := range parents {
-		i, _ := slices.BinarySearchFunc(children, p.start, func(s span, t int64) int {
-			switch {
-			case s.start < t:
-				return -1
-			case s.start > t:
-				return 1
-			}
-			return 0
-		})
-		covered := int64(0)
-		curS, curE := int64(-1), int64(-1)
-		for ; i < len(children) && children[i].start < p.end; i++ {
-			c := children[i]
-			if c.end > p.end {
-				continue
-			}
-			if c.start > curE {
-				covered += curE - curS
-				curS, curE = c.start, c.end
-			} else if c.end > curE {
-				curE = c.end
-			}
-		}
-		covered += curE - curS
+		covered, _ := coverage(p, children)
 		self += (p.end - p.start) - covered
 	}
 	return float64(self) / float64(len(parents))
+}
+
+// attributed is the mean time per request that measured spans explain:
+// the generator's lateness, plus, for the share of dispatched requests
+// that left a shard span, the service's self time and every shard span
+// that holds at least one child span. With every layer recorded it is
+// late + dispatch. A layer whose spans are missing drops out, instead
+// of being absorbed by its parent's self time: without child spans the
+// shard time is not attributed, and without shard spans nothing below
+// the generator is. nDispatch counts the dispatch histogram's requests.
+func attributed(late, dispatch float64, nDispatch int, shard, tree []span) float64 {
+	if nDispatch == 0 || len(shard) == 0 {
+		return late
+	}
+	sortByStart(tree)
+	var shardSum, withChildren int64
+	for _, p := range shard {
+		shardSum += p.end - p.start
+		if _, n := coverage(p, tree); n > 0 {
+			withChildren += p.end - p.start
+		}
+	}
+	k := float64(len(shard))
+	share := min(1, k/float64(nDispatch))
+	return late + share*(dispatch-float64(shardSum)/k+float64(withChildren)/k)
+}
+
+func sortByStart(s []span) {
+	slices.SortFunc(s, func(a, b span) int { return int(a.start - b.start) })
+}
+
+// coverage returns how much of p's interval the union of the children
+// inside it covers, and how many children it holds. children must be
+// sorted by start.
+func coverage(p span, children []span) (covered int64, n int) {
+	i, _ := slices.BinarySearchFunc(children, p.start, func(s span, t int64) int {
+		switch {
+		case s.start < t:
+			return -1
+		case s.start > t:
+			return 1
+		}
+		return 0
+	})
+	curS, curE := int64(-1), int64(-1)
+	for ; i < len(children) && children[i].start < p.end; i++ {
+		c := children[i]
+		if c.end > p.end {
+			continue
+		}
+		n++
+		if c.start > curE {
+			covered += curE - curS
+			curS, curE = c.start, c.end
+		} else if c.end > curE {
+			curE = c.end
+		}
+	}
+	return covered + curE - curS, n
 }
