@@ -54,13 +54,21 @@ type reqRec struct {
 	end    bool // the phase's closing sentinel
 }
 
-// phase is one stretch of open-loop load.
+// phase is one stretch of load: open-loop at rate, or, when depth is
+// set, closed-loop capacity load of a single op.
 type phase struct {
 	rate        float64       // offered requests per second, all connections
 	dur         time.Duration // schedule length
 	measureFrom time.Duration // requests due earlier are warm-up
 	windows     int           // equal sub-windows the measured stretch is cut into
 	markerGap   time.Duration // visibility marker cadence, 0 for none
+	// depth > 0 makes the phase closed-loop: every connection whose
+	// stream carries op only keeps depth requests of it in flight until
+	// dur, each due when it is sent, and the phase counts completions
+	// per sub-window instead of keeping latencies. depth is a multiple
+	// of capBatch.
+	depth int
+	only  opKind
 }
 
 // window returns the measured sub-window holding t (ns after the phase
@@ -80,6 +88,17 @@ type stream struct {
 	// Objects this stream may SET: first, first+stride, ... below objects.
 	first, stride int
 	markers       bool // emits the visibility markers
+}
+
+// carries reports whether the stream's mix issues op o.
+func (s stream) carries(o opKind) bool {
+	switch o {
+	case opSet:
+		return s.setFrac > 0
+	case opNearby:
+		return s.nearbyFrac > 0
+	}
+	return s.setFrac+s.nearbyFrac < 1
 }
 
 // connLoad is one connection's generator state. The sender owns rng,
@@ -104,10 +123,16 @@ type connLoad struct {
 	nextMarker int64
 	markerIdx  int
 	sinceMark  int // SETs since the last marker
+	// Closed-loop phases: the receiver returns one credit per capBatch
+	// responses and closes quit when it stops.
+	credit  chan struct{}
+	quit    chan struct{}
+	settled int // responses since the receiver last returned a credit
 
 	// Per-phase results (receiver-owned except late, sender-owned).
 	lat       [numOps][]samples // per measured sub-window
 	late      samples
+	done      []uint64 // closed-loop completions per measured sub-window
 	attempted uint64
 	failed    uint64
 	inWindow  uint64 // responses received inside the measure window
@@ -125,8 +150,12 @@ type gen struct {
 	cur   []geom.Point // sender-side positions, partitioned by stream
 	acked []geom.Point // last acknowledged positions, partitioned likewise
 	hop   int64
+	box   int64 // WITHIN box side, from spec.withinSide
 	conns []*connLoad
 	read  *collection.Collection[string]
+	// lag is the follower's replication backlog in windows (nil without
+	// a follower). A closed-loop SET phase holds it to capMaxLag.
+	lag func() uint64
 	// inflight counts markers sent but not yet seen by the probe; only
 	// connection 0's sender adds to it, so a load-then-add keeps it at
 	// most maxMarkers.
@@ -156,8 +185,12 @@ func newGen(st *stack, pop []geom.Point, seed int64) (*gen, error) {
 		cur:     append([]geom.Point(nil), pop...),
 		acked:   append([]geom.Point(nil), pop...),
 		hop:     int64(w.hop * float64(side)),
+		box:     w.withinSide(pop),
 		read:    st.read.srv.Collection(),
 		probeCh: make(chan markerEv, maxMarkers),
+	}
+	if st.foll != nil {
+		g.lag = st.lagWindows
 	}
 	for i := 0; i < markers; i++ {
 		g.markID = append(g.markID, objectID(i))
@@ -208,6 +241,7 @@ type phaseStats struct {
 	lat       [numOps][]samples
 	late      samples
 	visible   []samples
+	done      []uint64 // closed-loop completions per measured sub-window
 	attempted uint64
 	failed    uint64
 	achieved  float64 // responses per second inside the measure window
@@ -231,6 +265,12 @@ func (g *gen) run(ph phase) (*phaseStats, error) {
 			}
 		}
 		c.late = newSamples(expect)
+		c.done = make([]uint64, ph.windows)
+		c.credit, c.quit = make(chan struct{}, ph.depth/capBatch), make(chan struct{})
+		for i := 0; i < ph.depth/capBatch; i++ {
+			c.credit <- struct{}{}
+		}
+		c.settled = 0
 		c.attempted, c.failed, c.inWindow = 0, 0, 0
 		c.respBytes, c.respCount = [numOps]uint64{}, [numOps]uint64{}
 		c.firstErr, c.sendErr, c.recvErr = "", nil, nil
@@ -262,6 +302,7 @@ func (g *gen) run(ph phase) (*phaseStats, error) {
 		}()
 		go func() {
 			defer wg.Done()
+			defer close(c.quit)
 			if c.recvErr = c.recv(); c.recvErr != nil {
 				c.conn.Close()
 			}
@@ -271,7 +312,7 @@ func (g *gen) run(ph phase) (*phaseStats, error) {
 	close(stop)
 	probeWG.Wait()
 
-	ps := &phaseStats{ph: ph, visible: g.visible}
+	ps := &phaseStats{ph: ph, visible: g.visible, done: make([]uint64, ph.windows)}
 	ps.failed += g.probeFails
 	errs := []error{g.probeErr}
 	for _, c := range g.conns {
@@ -288,6 +329,9 @@ func (g *gen) run(ph phase) (*phaseStats, error) {
 			ps.respCount[o] += c.respCount[o]
 		}
 		ps.late.merge(&c.late)
+		for i, n := range c.done {
+			ps.done[i] += n
+		}
 		ps.dropped += c.late.dropped
 		ps.attempted += c.attempted
 		ps.failed += c.failed
@@ -307,6 +351,9 @@ func mono(base time.Time) int64 { return int64(time.Since(base)) }
 
 // send writes the phase's schedule, then the closing sentinel.
 func (c *connLoad) send() error {
+	if c.ph.depth > 0 {
+		return c.sendClosed()
+	}
 	sl, err := newSleeper()
 	if err != nil {
 		return err
@@ -350,6 +397,69 @@ func (c *connLoad) send() error {
 	if err := c.waitRing(sl); err != nil {
 		return err
 	}
+	return c.sendEnd()
+}
+
+// capMaxLag bounds the follower's backlog, in windows, in a closed-loop
+// SET phase; the sender checks it once per credit. Each durable-ack SET
+// is a window of its own, and the follower applies windows more slowly
+// than the leader acknowledges them: an unthrottled phase leaves a
+// backlog that outlasts the run, and evicts windows from the leader's
+// ring so that the follower bootstraps.
+const capMaxLag = 64
+
+// capBatch is how many requests one closed-loop credit stands for: the
+// sender and receiver hand over work in batches, so the phase measures
+// the server rather than a goroutine hand-off per request.
+const capBatch = 16
+
+// sendClosed keeps the phase's depth of requests in flight until the
+// phase ends, then writes the closing sentinel. The ring holds far more
+// than depth, so it never fills. A stream that does not carry the
+// phase's op sends only the sentinel. With a follower, a SET phase
+// pauses while the follower is more than capMaxLag windows behind, so
+// it measures the writes the pair sustains.
+func (c *connLoad) sendClosed() error {
+	dur := int64(c.ph.dur)
+	throttle := c.ph.only == opSet && c.g.lag != nil
+	for c.st.carries(c.ph.only) {
+		for throttle && c.g.lag() > capMaxLag && mono(c.base) < dur {
+			if err := c.bw.Flush(); err != nil {
+				return fmt.Errorf("send: %w", err)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		select {
+		case <-c.credit:
+		default:
+			if err := c.bw.Flush(); err != nil {
+				return fmt.Errorf("send: %w", err)
+			}
+			select {
+			case <-c.credit:
+			case <-c.quit:
+				return errors.New("send: receiver stopped")
+			}
+		}
+		now := mono(c.base)
+		if now >= dur {
+			break
+		}
+		for i := 0; i < capBatch; i++ {
+			h := c.head.Load()
+			rec := &c.ring[h&(ringSize-1)]
+			c.next(rec, now)
+			c.head.Store(h + 1)
+			if err := c.appendReq(rec); err != nil {
+				return err
+			}
+		}
+	}
+	return c.sendEnd()
+}
+
+// sendEnd writes the closing sentinel, whose answer ends the receiver.
+func (c *connLoad) sendEnd() error {
 	h := c.head.Load()
 	c.ring[h&(ringSize-1)] = reqRec{end: true}
 	c.head.Store(h + 1)
@@ -374,16 +484,24 @@ func (c *connLoad) waitRing(sl *sleeper) error {
 }
 
 // next fills rec with the request due at due, drawn from the stream's
-// mix. SET targets come from the stream's own partition, so per-object
-// order on the wire is per-connection order; query centres are initial
-// object positions.
+// mix, or of the phase's single op in a closed-loop phase. SET targets
+// come from the stream's own partition, so per-object order on the wire
+// is per-connection order; query centres are initial object positions.
 func (c *connLoad) next(rec *reqRec, due int64) {
 	g := c.g
-	*rec = reqRec{due: due}
-	u := c.rng.Float64()
-	switch {
-	case u < c.st.setFrac:
-		rec.op = opSet
+	*rec = reqRec{due: due, op: c.ph.only}
+	if c.ph.depth == 0 {
+		switch u := c.rng.Float64(); {
+		case u < c.st.setFrac:
+			rec.op = opSet
+		case u < c.st.setFrac+c.st.nearbyFrac:
+			rec.op = opNearby
+		default:
+			rec.op = opWithin
+		}
+	}
+	switch rec.op {
+	case opSet:
 		c.sinceMark++
 		if c.st.markers && c.ph.markerGap > 0 && due >= c.nextMarker && c.sinceMark > markerEvery && g.inflight.Load() < maxMarkers {
 			c.sinceMark = 0
@@ -398,11 +516,7 @@ func (c *connLoad) next(rec *reqRec, due int64) {
 		}
 		rec.pos = hopped(c.rng, g.cur[rec.obj], g.hop)
 		g.cur[rec.obj] = rec.pos
-	case u < c.st.setFrac+c.st.nearbyFrac:
-		rec.op = opNearby
-		rec.pos = g.init[c.rng.Intn(len(g.init))]
 	default:
-		rec.op = opWithin
 		rec.pos = g.init[c.rng.Intn(len(g.init))]
 	}
 }
@@ -429,7 +543,7 @@ func (c *connLoad) appendReq(rec *reqRec) error {
 		b = appendUint(b, knnK)
 		b = append(b, "}\n"...)
 	case opWithin:
-		box := queryBox(rec.pos, c.g.w.box)
+		box := queryBox(rec.pos, c.g.box)
 		b = append(b, `{"op":"WITHIN","lo":`...)
 		b = appendPoint(b, box.Lo)
 		b = append(b, `,"hi":`...)
@@ -527,6 +641,16 @@ func (c *connLoad) account(rec *reqRec, line []byte, now int64) {
 	}
 	if now >= int64(c.ph.measureFrom) && now < int64(c.ph.dur) {
 		c.inWindow++
+	}
+	if c.ph.depth > 0 {
+		if w := c.ph.window(now); w >= 0 {
+			c.done[w]++
+		}
+		if c.settled++; c.settled == capBatch {
+			c.settled = 0
+			c.credit <- struct{}{}
+		}
+		return
 	}
 	if w := c.ph.window(rec.due); w >= 0 {
 		c.lat[rec.op][w].add(now - rec.due)

@@ -84,7 +84,7 @@ func oracle(st *stack, g *gen, seed int64, bootBefore float64) verdict {
 		c := g.init[rng.Intn(len(g.init))]
 		hits, err := cl.Nearby(coords(c), knnK)
 		v.check(err == nil && sameNearest(hits, g.acked, c), "NEARBY %v: %d hits, err %v", c, len(hits), err)
-		box := queryBox(g.init[rng.Intn(len(g.init))], g.w.box)
+		box := queryBox(g.init[rng.Intn(len(g.init))], g.box)
 		hits, err = cl.Within(coords(box.Lo), coords(box.Hi))
 		v.check(err == nil && sameWithin(hits, g.acked, box), "WITHIN %v: %d hits, err %v", box, len(hits), err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/service"
+	"repro/internal/workload"
 )
 
 func TestQuantileNearestRank(t *testing.T) {
@@ -108,7 +109,7 @@ func testConn(w *spec) *connLoad {
 		pop[i] = geom.Point{int64(i) * 1000, int64(i) * 500}
 	}
 	g := &gen{w: w, init: pop, cur: append([]geom.Point(nil), pop...),
-		acked: append([]geom.Point(nil), pop...), hop: 1000, probeCh: make(chan markerEv, maxMarkers)}
+		acked: append([]geom.Point(nil), pop...), hop: 1000, box: 10_000_000, probeCh: make(chan markerEv, maxMarkers)}
 	c := &connLoad{
 		g:    g,
 		st:   stream{share: 1, setFrac: w.setFrac, nearbyFrac: w.nearbyFrac, first: markers, stride: 1},
@@ -128,7 +129,7 @@ func testConn(w *spec) *connLoad {
 // TestRequestPathAllocs pins that the generator's per-request send and
 // receive paths allocate nothing: it shares a process with the server.
 func TestRequestPathAllocs(t *testing.T) {
-	w := &spec{name: "t", objects: 1000, setFrac: 0.4, nearbyFrac: 0.3, hop: 0.001, box: 0.01}
+	w := &spec{name: "t", objects: 1000, setFrac: 0.4, nearbyFrac: 0.3, hop: 0.001, hits: 10}
 	c := testConn(w)
 	var due int64
 	send := testing.AllocsPerRun(2000, func() {
@@ -304,5 +305,79 @@ func TestTracedStackEquivalence(t *testing.T) {
 			}
 		}
 		srv.Shutdown(t.Context())
+	}
+}
+
+// TestWithinSideHoldsHits pins that the WITHIN box is sized per
+// population: different Varden seeds get different sides, each holding
+// the target count.
+func TestWithinSideHoldsHits(t *testing.T) {
+	w := &spec{name: "t", objects: 50_000, dist: workload.Varden, hits: 40}
+	var sides []int64
+	for seed := int64(1); seed <= 3; seed++ {
+		pop := w.population(seed)
+		s := w.withinSide(pop)
+		if got := gridHits(pop, float64(s)); got < 0.95*w.hits || got > 1.05*w.hits {
+			t.Errorf("seed %d: side %d holds %.1f objects, want %.0f within 5%%", seed, s, got, w.hits)
+		}
+		sides = append(sides, s)
+	}
+	if sides[0] == sides[1] && sides[1] == sides[2] {
+		t.Errorf("sides %v do not depend on the population", sides)
+	}
+}
+
+// TestClosedLoopAccounting pins that a closed-loop phase counts
+// completions instead of keeping latencies, returns one credit per
+// capBatch responses, and allocates nothing per response.
+func TestClosedLoopAccounting(t *testing.T) {
+	c := testConn(&spec{name: "t", objects: 100})
+	c.ph = phase{dur: time.Hour, windows: 1, depth: capDepth, only: opSet}
+	c.done = make([]uint64, 1)
+	c.credit = make(chan struct{}, capDepth/capBatch)
+	rec := reqRec{op: opSet, obj: markers + 1}
+	ok := []byte("{\"ok\":true}\n")
+	allocs := testing.AllocsPerRun(capBatch*4, func() {
+		c.account(&rec, ok, 5)
+		if len(c.credit) == cap(c.credit) {
+			for len(c.credit) > 0 {
+				<-c.credit
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("closed-loop receive path: %v allocs per response, want 0", allocs)
+	}
+	c.done[0], c.settled = 0, 0
+	for len(c.credit) > 0 {
+		<-c.credit
+	}
+	for i := 0; i < 2*capBatch+1; i++ {
+		c.account(&rec, ok, 5)
+	}
+	if c.done[0] != 2*capBatch+1 || len(c.credit) != 2 {
+		t.Errorf("done %d, credits %d; want %d and 2", c.done[0], len(c.credit), 2*capBatch+1)
+	}
+	if n := count(c.lat[opSet]); n != 0 {
+		t.Errorf("closed-loop phase kept %d latency samples", n)
+	}
+}
+
+// TestStreamCarries pins which ops each durable stream issues in a
+// closed-loop phase: SETs only to the leader, queries only to the
+// follower.
+func TestStreamCarries(t *testing.T) {
+	writer := stream{setFrac: 1}
+	reader := stream{nearbyFrac: 0.5}
+	mixed := stream{setFrac: 0.9, nearbyFrac: 0.05}
+	for _, c := range []struct {
+		s    stream
+		want [numOps]bool
+	}{{writer, [numOps]bool{true, false, false}}, {reader, [numOps]bool{false, true, true}}, {mixed, [numOps]bool{true, true, true}}} {
+		for o := opKind(0); o < numOps; o++ {
+			if got := c.s.carries(o); got != c.want[o] {
+				t.Errorf("%+v carries %s = %v, want %v", c.s, opNames[o], got, c.want[o])
+			}
+		}
 	}
 }

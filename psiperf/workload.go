@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/geom"
@@ -42,9 +43,9 @@ type spec struct {
 	setFrac, nearbyFrac float64
 	// hop is a SET's per-axis displacement bound as a fraction of side.
 	hop float64
-	// box is a WITHIN query's side as a fraction of side, sized for a
-	// few dozen hits at the workload's density.
-	box float64
+	// hits is the mean object count a WITHIN box centred on an object
+	// is sized for, per population (see withinSide).
+	hits float64
 	// rate is the nominal offered rate in requests per second.
 	rate float64
 	// limitMs is the p99 latency limit of the SLO search.
@@ -63,7 +64,7 @@ var specs = map[string]*spec{
 	// three of them per run would not fit the benchmark's run budget.
 	"fleet": {
 		name: "fleet", objects: 500_000, dist: workload.Varden,
-		setFrac: 0.20, nearbyFrac: 0.60, hop: 0.001, box: 0.0006,
+		setFrac: 0.20, nearbyFrac: 0.60, hop: 0.001, hits: 185,
 		rate: 5000, limitMs: 15,
 	},
 	// Flush-bound: a population that fits in cache and teleporting SETs,
@@ -71,14 +72,14 @@ var specs = map[string]*spec{
 	// snapshot twins' double apply dominates.
 	"churn": {
 		name: "churn", objects: 50_000, dist: workload.Uniform,
-		setFrac: 0.90, nearbyFrac: 0.05, hop: 0.25, box: 0.015,
+		setFrac: 0.90, nearbyFrac: 0.05, hop: 0.25, hits: 12,
 		rate: 10000, limitMs: 25,
 	},
 	// Durability-bound: every SET ack waits on a journal fsync, every
 	// follower read on log shipping.
 	"durable": {
 		name: "durable", objects: 200_000, dist: workload.Uniform,
-		setFrac: 0.2, nearbyFrac: 0.4, hop: 0.001, box: 0.007,
+		setFrac: 0.2, nearbyFrac: 0.4, hop: 0.001, hits: 11,
 		rate: 250, limitMs: 20,
 		durable: true,
 	},
@@ -135,10 +136,43 @@ func hopped(rng *rand.Rand, p geom.Point, h int64) geom.Point {
 	return p
 }
 
-// queryBox is the WITHIN box of side w*side centred on c, clipped to
-// the universe.
-func queryBox(c geom.Point, w float64) geom.Box {
-	half := int64(w * float64(side) / 2)
+// withinSide is the WITHIN box side, in coordinates, that holds about
+// w.hits objects around an object of pop (as gridHits estimates it):
+// the side is rescaled by the square root of the shortfall until the
+// estimate settles. At a fixed side the count of Varden populations
+// varies by up to 15% between seeds, and WITHIN's cost with it; sizing
+// the box per population keeps the seed from moving the workload.
+func (w *spec) withinSide(pop []geom.Point) int64 {
+	s := float64(side) * math.Sqrt(w.hits/float64(len(pop)))
+	for i := 0; i < 6; i++ {
+		s *= math.Sqrt(w.hits / gridHits(pop, s))
+	}
+	return int64(s)
+}
+
+// gridHits estimates the mean count of objects in an s-sided box
+// centred on an object of pop: on a grid of s-sided cells, the mean over
+// objects of the objects sharing their cell.
+func gridHits(pop []geom.Point, s float64) float64 {
+	cells := make(map[[dims]int64]int32, len(pop))
+	for _, p := range pop {
+		var c [dims]int64
+		for d := range c {
+			c[d] = int64(float64(p[d]) / s)
+		}
+		cells[c]++
+	}
+	var sq float64
+	for _, n := range cells {
+		sq += float64(n) * float64(n)
+	}
+	return sq / float64(len(pop))
+}
+
+// queryBox is the WITHIN box of side s centred on c, clipped to the
+// universe.
+func queryBox(c geom.Point, s int64) geom.Box {
+	half := s / 2
 	var lo, hi geom.Point
 	for d := 0; d < dims; d++ {
 		lo[d] = max(c[d]-half, 0)
