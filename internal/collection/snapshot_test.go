@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/obs"
+	"repro/internal/shard"
 )
 
 // The snapshot-read (epoch-pinned) variant of the Collection test suite:
@@ -99,64 +100,100 @@ func (g *gate) BatchDiff(ins, del []geom.Point) {
 	g.Index.BatchDiff(ins, del)
 }
 
+// wrap returns a gate over inner that shares g's channels, so arming g
+// holds every index built through wrap (e.g. all children of a Sharded).
+func (g *gate) wrap(inner core.Index) core.Index {
+	return &gate{Index: inner, armed: g.armed, entered: g.entered, release: g.release}
+}
+
 // TestSnapshotReadDuringFlushDoesNotStall is the stall regression the
-// tentpole exists to prevent: with a flush held open inside the index
-// apply, Get, NearbyIDs, WithinIDs and Stats must all complete against
-// the still-published previous epoch. (In locked mode the same probe
-// would deadlock — queries wait out the writer lock held across the
-// apply — which is why the locked branch of this test does not exist.)
+// snapshot mode exists to prevent: with a flush held open inside the
+// index apply, Get, NearbyIDs, WithinIDs and Stats must all complete
+// against the still-published previous epoch. (In locked mode the same
+// probe would deadlock — queries wait out the writer lock held across
+// the apply — which is why the locked branch of this test does not
+// exist.) It runs over a gated BruteForce and over the production psid
+// stack: a Sharded whose children are gated, twinned through NewReplica,
+// so the flush is held inside one child's BatchDiff.
 func TestSnapshotReadDuringFlushDoesNotStall(t *testing.T) {
-	g := newGate(core.NewBruteForce(2))
-	c := New[int](g, Options{
-		MaxBatch: 1 << 20,
-		Snapshot: func() core.Index { return newGate(core.NewBruteForce(2)) },
-	})
-	defer c.Close()
-	p0 := geom.Pt2(10, 10)
-	c.Set(1, p0)
-	c.Flush()
-
-	close(g.armed) // next BatchDiff on the published-then-standby twin blocks
-	flushed := make(chan struct{})
-	go func() {
-		c.Set(2, geom.Pt2(20, 20))
-		c.Flush()
-		close(flushed)
-	}()
-	// After the preload flush the twin built from idx (the gated g) is the
-	// standby, so the second flush blocks inside g's catch-up BatchDiff —
-	// before it can publish. Wait until it is held at the gate.
-	<-g.entered
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		if got, ok := c.Get(1); !ok || got != p0 {
-			t.Errorf("Get(1) during flush = (%v, %t), want (%v, true)", got, ok, p0)
-		}
-		if got := c.WithinIDs(universe()); len(got) != 1 || got[0].ID != 1 {
-			t.Errorf("WithinIDs during flush = %v, want only id 1 at the previous epoch", got)
-		}
-		if got := c.NearbyIDs(p0, 1); len(got) != 1 || got[0].ID != 1 {
-			t.Errorf("NearbyIDs during flush = %v, want id 1", got)
-		}
-		if st := c.Stats(); st.Epoch != 1 || st.Objects != 1 {
-			t.Errorf("Stats during flush = %+v, want the published epoch 1 with 1 object", st)
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("reads stalled behind the held-open flush")
+	stacks := []struct {
+		name string
+		// build returns the wrapped index, routed through g so that
+		// arming g holds its next BatchDiff, and the twin factory.
+		build func(g *gate) (core.Index, func() core.Index)
+	}{
+		{"BruteForce", func(g *gate) (core.Index, func() core.Index) {
+			return g.wrap(core.NewBruteForce(2)),
+				func() core.Index { return core.NewBruteForce(2) }
+		}},
+		{"Sharded(BruteForce)", func(g *gate) (core.Index, func() core.Index) {
+			sh := shard.New(shard.Options{
+				Dims:     2,
+				Universe: universe(),
+				Shards:   4,
+				Strategy: shard.HilbertRange,
+				New: func(dims int, _ geom.Box) core.Index {
+					return g.wrap(core.NewBruteForce(dims))
+				},
+			})
+			return sh, sh.NewReplica
+		}},
 	}
-	close(g.release)
-	select {
-	case <-flushed:
-	case <-time.After(10 * time.Second):
-		t.Fatal("flush never completed after release")
-	}
-	if got := c.WithinIDs(universe()); len(got) != 2 {
-		t.Fatalf("WithinIDs after flush = %v, want both objects", got)
+	for _, stack := range stacks {
+		t.Run(stack.name, func(t *testing.T) {
+			g := newGate(nil) // only its channels are used; build wraps indexes through it
+			idx, twin := stack.build(g)
+			c := New[int](idx, Options{MaxBatch: 1 << 20, Snapshot: twin})
+			defer c.Close()
+			p0 := geom.Pt2(10, 10)
+			c.Set(1, p0)
+			c.Flush()
+
+			close(g.armed) // the next gated BatchDiff blocks
+			flushed := make(chan struct{})
+			go func() {
+				c.Set(2, geom.Pt2(20, 20))
+				c.Flush()
+				close(flushed)
+			}()
+			// After the preload flush the twin built from idx is the
+			// standby, so the second flush blocks inside its catch-up
+			// BatchDiff — before it can publish. Readers stay on the
+			// published twin, which no BatchDiff touches until then.
+			// Wait until the flush is held at the gate.
+			<-g.entered
+
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				if got, ok := c.Get(1); !ok || got != p0 {
+					t.Errorf("Get(1) during flush = (%v, %t), want (%v, true)", got, ok, p0)
+				}
+				if got := c.WithinIDs(universe()); len(got) != 1 || got[0].ID != 1 {
+					t.Errorf("WithinIDs during flush = %v, want only id 1 at the previous epoch", got)
+				}
+				if got := c.NearbyIDs(p0, 1); len(got) != 1 || got[0].ID != 1 {
+					t.Errorf("NearbyIDs during flush = %v, want id 1", got)
+				}
+				if st := c.Stats(); st.Epoch != 1 || st.Objects != 1 {
+					t.Errorf("Stats during flush = %+v, want the published epoch 1 with 1 object", st)
+				}
+			}()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("reads stalled behind the held-open flush")
+			}
+			close(g.release)
+			select {
+			case <-flushed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("flush never completed after release")
+			}
+			if got := c.WithinIDs(universe()); len(got) != 2 {
+				t.Fatalf("WithinIDs after flush = %v, want both objects", got)
+			}
+		})
 	}
 }
 

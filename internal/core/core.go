@@ -59,8 +59,8 @@ type Index interface {
 // Replicator is the optional capability behind the library's snapshot
 // reads (ARCHITECTURE.md "Epochs & snapshot reads"). An index that can
 // construct a fresh, empty twin of itself — same dimensionality, same
-// universe, same tuning — lets the Store/Collection layers double-buffer
-// it: each commit window's BatchDiff is applied to an off-line replica,
+// universe, same tuning — lets the Collection layer double-buffer it
+// (the only layer that does): each commit window's BatchDiff is applied to an off-line replica,
 // the replica is published through an atomic epoch pointer, and queries
 // pin the published version instead of taking a read lock, so a reader
 // never waits on a flush.

@@ -8,13 +8,15 @@
 // writer pays one bounded wait (for stragglers still inside the retired
 // version) per publish.
 //
-// The intended shape is double-buffering: a layer keeps exactly two
-// Versions and ping-pongs between them. Each flush catches the standby up
+// The intended shape is double-buffering: the layer that owns snapshots
+// (collection.Collection, the only importer outside tests — the root
+// package's TestOneSnapshotOwner enforces it) keeps exactly two Versions
+// and ping-pongs between them. Each flush catches the standby up
 // with the previously committed window, applies the new window, publishes
 // the standby, waits for the old current to drain, and keeps it as the
 // next standby. Both Version structs live for the lifetime of the layer,
 // so steady-state publishing allocates nothing — the property the
-// Store/Collection zero-alloc guards pin. Parallel Batch-Dynamic kd-Trees
+// Collection's zero-alloc snapshot guards pin. Parallel Batch-Dynamic kd-Trees
 // (Yesantharao et al.) is the license for this design: batch diff-apply
 // on the paper's structures is cheap enough that applying every window
 // twice costs less than stalling all readers once.

@@ -68,11 +68,6 @@ func (s *Sharded) RangeCount(box geom.Box) int {
 	n := parallel.Reduce(len(ids), 1, 0,
 		func(i int) int {
 			sh := &s.shards[ids[i]]
-			if s.opts.Snapshot {
-				v := sh.mgr.Pin()
-				defer sh.mgr.Unpin(v)
-				return v.Data.RangeCount(box)
-			}
 			sh.mu.RLock()
 			defer sh.mu.RUnlock()
 			return sh.idx.RangeCount(box)
@@ -131,16 +126,9 @@ func (s *Sharded) RangeListCost(box geom.Box, dst []geom.Point, cost *obs.QueryC
 	return dst
 }
 
-// shardRangeList runs one shard's range report: against the pinned
-// published version in snapshot mode (wait-free behind sub-batches),
-// under the shard read lock otherwise.
+// shardRangeList runs one shard's range report under the shard read lock.
 func (s *Sharded) shardRangeList(id int, box geom.Box, dst []geom.Point) []geom.Point {
 	sh := &s.shards[id]
-	if s.opts.Snapshot {
-		v := sh.mgr.Pin()
-		defer sh.mgr.Unpin(v)
-		return v.Data.RangeList(box, dst)
-	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.idx.RangeList(box, dst)
@@ -149,11 +137,6 @@ func (s *Sharded) shardRangeList(id int, box geom.Box, dst []geom.Point) []geom.
 // shardKNN runs one shard's local KNN (same locking as shardRangeList).
 func (s *Sharded) shardKNN(id int, q geom.Point, k int, dst []geom.Point) []geom.Point {
 	sh := &s.shards[id]
-	if s.opts.Snapshot {
-		v := sh.mgr.Pin()
-		defer sh.mgr.Unpin(v)
-		return v.Data.KNN(q, k, dst)
-	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.idx.KNN(q, k, dst)

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/obs"
 	"repro/internal/parallel"
@@ -59,21 +58,9 @@ type Options struct {
 	// exists so -exp alloc can measure the before/after of scratch reuse;
 	// production configurations leave it false.
 	DisableScratch bool
-	// Snapshot switches every shard to epoch-pinned snapshot reads: each
-	// shard keeps two copies of its index (built with New), applies every
-	// sub-batch to both — the off-line one first — and publishes through
-	// an atomic per-shard epoch pointer; queries pin the published
-	// version per shard instead of taking the shard read lock, so a
-	// reader never waits behind a sub-batch. Consistency remains per
-	// shard, exactly as in locked mode: each shard's snapshot is a
-	// committed prefix of that shard's sub-batches. Memory for the shard
-	// indexes doubles. Off by default — a Sharded serving under a
-	// snapshot-mode Collection/Store is already read off a published
-	// version, so shard-level snapshots are for standalone Sharded use.
-	Snapshot bool
 	// Obs, when set, registers per-shard load metrics (batch ops applied,
-	// queries touched, KNN expansions, published epoch — all labeled
-	// shard="i"), the query fan-out histogram, and records a
+	// queries touched, KNN expansions — all labeled shard="i"), the
+	// query fan-out histogram, and records a
 	// flush-pipeline span per batch into the registry's trace ring.
 	// Replicas made by NewReplica share the originals' series (physical
 	// applies on either twin count once); recording is atomics only, so
@@ -121,10 +108,9 @@ func (o Options) validate() {
 // Callers that need whole-batch atomicity across shards wrap the Sharded
 // in a store.Store, whose global read/write lock restores it (see the
 // "Scaling out" section of the README for the composition guidance).
-// With Options.Snapshot set, queries pin per-shard published epochs
-// instead of taking the shard read locks — same per-shard consistency,
-// but readers never wait behind a sub-batch (ARCHITECTURE.md "Epochs &
-// snapshot reads").
+// Readers that must never wait behind a batch read through a snapshot-mode
+// collection.Collection, which double-buffers whole Sharded twins made by
+// NewReplica (ARCHITECTURE.md "Epochs & snapshot reads").
 type Sharded struct {
 	opts Options
 
@@ -147,20 +133,11 @@ type Sharded struct {
 	met *shardMetrics
 }
 
-// shardSlot is one region's index and its lock. In locked mode idx holds
-// the single copy: writers take mu exclusively, readers share it. In
-// snapshot mode idx is nil and the copy pair lives in mgr/standby — mu
-// then only serializes writers (sub-batch appliers), readers pin the
-// published version instead. savedIns/savedDel (guarded by mu) hold the
-// shard's previously committed sub-batch, replayed on the standby as
-// catch-up before the next sub-batch applies.
+// shardSlot is one region's index and its lock: writers take mu
+// exclusively, readers share it.
 type shardSlot struct {
 	mu  sync.RWMutex
 	idx core.Index
-
-	mgr                epoch.Manager[core.Index]
-	standby            *epoch.Version[core.Index]
-	savedIns, savedDel []geom.Point
 }
 
 var _ core.Index = (*Sharded)(nil)
@@ -189,20 +166,14 @@ func newSharded(opts Options) *Sharded {
 	s.diffPool.New = func() any { return new(diffScratch) }
 	s.queryPool.New = func() any { return new(queryScratch) }
 	for i := range s.shards {
-		sh := &s.shards[i]
-		if opts.Snapshot {
-			sh.mgr.Init(epoch.NewVersion(opts.New(opts.Dims, opts.Universe)))
-			sh.standby = epoch.NewVersion(opts.New(opts.Dims, opts.Universe))
-		} else {
-			sh.idx = opts.New(opts.Dims, opts.Universe)
-		}
+		s.shards[i].idx = opts.New(opts.Dims, opts.Universe)
 	}
 	return s
 }
 
 // NewReplica implements core.Replicator: a Sharded can always construct
 // a fresh, empty, identically configured twin of itself, so wrapping one
-// in a snapshot-mode Store/Collection/Server needs no explicit factory.
+// in a snapshot-mode Collection/Server needs no explicit factory.
 // The replica shares the original's metric series rather than
 // re-registering them: per-shard op counts then aggregate physical
 // applies across both twins, and query counts stay exact because only
@@ -213,18 +184,9 @@ func (s *Sharded) NewReplica() core.Index {
 	return r
 }
 
-// child returns shard i's index for metadata reads (Name): the published
-// version in snapshot mode, the single copy otherwise.
-func (s *Sharded) child(i int) core.Index {
-	if s.opts.Snapshot {
-		return s.shards[i].mgr.Current().Data
-	}
-	return s.shards[i].idx
-}
-
 // Name implements core.Index.
 func (s *Sharded) Name() string {
-	return fmt.Sprintf("Sharded[%d%s](%s)", s.opts.Shards, s.opts.Strategy, s.child(0).Name())
+	return fmt.Sprintf("Sharded[%d%s](%s)", s.opts.Shards, s.opts.Strategy, s.shards[0].idx.Name())
 }
 
 // Dims implements core.Index.
@@ -233,16 +195,9 @@ func (s *Sharded) Dims() int { return s.opts.Dims }
 // Shards returns the shard count S.
 func (s *Sharded) Shards() int { return s.opts.Shards }
 
-// shardSize reads one shard's point count: from the pinned published
-// version in snapshot mode (never waits behind a sub-batch), under the
-// shard read lock otherwise.
+// shardSize reads one shard's point count under the shard read lock.
 func (s *Sharded) shardSize(i int) int {
 	sh := &s.shards[i]
-	if s.opts.Snapshot {
-		v := sh.mgr.Pin()
-		defer sh.mgr.Unpin(v)
-		return v.Data.Size()
-	}
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.idx.Size()
@@ -270,41 +225,6 @@ func (s *Sharded) ShardSizes(dst []int) []int {
 	return dst
 }
 
-// Stats aggregates the per-shard epoch state. In locked mode Epoch and
-// RetireLag are 0 and Versions is 1; in snapshot mode Epoch is the
-// highest per-shard published epoch (shards advance independently —
-// a shard whose sub-batches were all empty stays behind) and RetireLag
-// sums the per-shard lags.
-type Stats struct {
-	Shards    int    // shard count S
-	Size      int    // total stored points (published view)
-	Epoch     uint64 // highest per-shard published epoch (0 in locked mode)
-	Versions  int    // live index versions per shard: 2 in snapshot mode, 1 locked
-	RetireLag uint64 // summed per-shard undrained publishes
-}
-
-// Stats samples the epoch counters without blocking behind in-flight
-// sub-batches (snapshot mode reads published versions only).
-func (s *Sharded) Stats() Stats {
-	s.epoch.RLock()
-	defer s.epoch.RUnlock()
-	st := Stats{Shards: s.opts.Shards, Versions: 1}
-	for i := range s.shards {
-		st.Size += s.shardSize(i)
-		if s.opts.Snapshot {
-			sh := &s.shards[i]
-			if e := sh.mgr.Epoch(); e > st.Epoch {
-				st.Epoch = e
-			}
-			st.RetireLag += sh.mgr.RetireLag()
-		}
-	}
-	if s.opts.Snapshot {
-		st.Versions = 2
-	}
-	return st
-}
-
 // Build implements core.Index: it replaces the contents with pts. Unless
 // Options.Static is set, Build first rebalances the region boundaries so
 // every shard receives ~len(pts)/S points (equi-depth over the cell
@@ -320,23 +240,7 @@ func (s *Sharded) Build(pts []geom.Point) {
 	scratch := make([]geom.Point, len(pts))
 	offsets := parallel.Sieve(pts, scratch, part.shards, part.shardOf)
 	parallel.ForEach(part.shards, 1, func(i int) {
-		sub := scratch[offsets[i]:offsets[i+1]]
-		sh := &s.shards[i]
-		if s.opts.Snapshot {
-			// Rebuild both twins and clear the saved sub-batch: the new
-			// epoch starts from identical contents on both sides.
-			// Concurrent readers are excluded by the partition-swap lock,
-			// so the drain is immediate.
-			sh.standby.Data.Build(sub)
-			prev := sh.mgr.Publish(sh.standby)
-			sh.mgr.WaitDrained(prev)
-			prev.Data.Build(sub)
-			sh.standby = prev
-			sh.savedIns = sh.savedIns[:0]
-			sh.savedDel = sh.savedDel[:0]
-			return
-		}
-		sh.idx.Build(sub)
+		s.shards[i].idx.Build(scratch[offsets[i]:offsets[i+1]])
 	})
 }
 
@@ -442,9 +346,6 @@ func (s *Sharded) BatchDiff(ins, del []geom.Point) {
 		subIns := sc.ins[insOff[i]:insOff[i+1]]
 		subDel := sc.del[delOff[i]:delOff[i+1]]
 		if len(subIns) == 0 && len(subDel) == 0 {
-			// Snapshot mode: an untouched shard publishes nothing — its
-			// published version is already current, and its saved
-			// sub-batch stays pending for the next catch-up.
 			return
 		}
 		if m != nil {
@@ -452,22 +353,7 @@ func (s *Sharded) BatchDiff(ins, del []geom.Point) {
 		}
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		if s.opts.Snapshot {
-			// Catch the standby up with the shard's previous sub-batch,
-			// apply the new one, and publish. subIns/subDel alias the
-			// pooled sieve scratch, so the window is copied into the
-			// per-shard saved buffers before the scratch is recycled.
-			st := sh.standby.Data
-			st.BatchDiff(sh.savedIns, sh.savedDel)
-			st.BatchDiff(subIns, subDel)
-			sh.savedIns = append(sh.savedIns[:0], subIns...)
-			sh.savedDel = append(sh.savedDel[:0], subDel...)
-			prev := sh.mgr.Publish(sh.standby)
-			sh.mgr.WaitDrained(prev)
-			sh.standby = prev
-		} else {
-			sh.idx.BatchDiff(subIns, subDel)
-		}
+		sh.idx.BatchDiff(subIns, subDel)
 		sh.mu.Unlock()
 	})
 	if m != nil {

@@ -347,3 +347,22 @@ func TestShardedImplementsIndex(t *testing.T) {
 		t.Fatalf("default Shards = %d", d.Shards())
 	}
 }
+
+// TestReplica checks the Replicator wiring: NewReplica returns a fresh
+// empty Sharded with the same configuration, fit for the Collection's
+// Snapshot factory.
+func TestReplica(t *testing.T) {
+	s := New(testOptions(2, 4, HilbertRange, brute))
+	s.Build(uniquePoints(100, 3))
+	r, ok := core.Index(s).(core.Replicator)
+	if !ok {
+		t.Fatal("Sharded does not implement core.Replicator")
+	}
+	twin := r.NewReplica()
+	if twin.Size() != 0 {
+		t.Fatalf("NewReplica starts with %d points, want 0", twin.Size())
+	}
+	if twin.Name() != s.Name() {
+		t.Fatalf("NewReplica Name = %q, original %q", twin.Name(), s.Name())
+	}
+}

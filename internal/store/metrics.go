@@ -29,12 +29,6 @@ func newStoreMetrics(r *obs.Registry, s *Store) *storeMetrics {
 	r.CounterFunc("psi_flush_ops_cancelled_total",
 		"Insert/delete pairs netted out before reaching the index.",
 		s.cancelled.Load, layer)
-	r.GaugeFunc("psi_epoch",
-		"Published snapshot epoch (0 in locked mode).",
-		func() float64 { return float64(s.snap.mgr.Epoch()) }, layer)
-	r.GaugeFunc("psi_epoch_retire_lag",
-		"Published epochs whose displaced version has not drained.",
-		func() float64 { return float64(s.snap.mgr.RetireLag()) }, layer)
 	return &storeMetrics{
 		trace: r.FlushTrace(),
 		flushDur: r.Histogram("psi_flush_duration_ns",

@@ -8,11 +8,10 @@
 // batch-update machinery is amortized across callers instead of being
 // driven one mutation at a time. Queries always observe a consistent
 // view: either all of a flushed batch or none of it, never a half-applied
-// update. In the default locked mode they share a read lock with the
-// flush writer; with Options.Snapshot set the Store double-buffers the
-// index through an epoch manager instead (internal/epoch), and queries
-// pin the published version — wait-free against even the largest commit
-// window (ARCHITECTURE.md "Epochs & snapshot reads").
+// update: they share a read lock with the flush writer. The Store keeps
+// one copy of the index; wait-free snapshot reads belong to the layer
+// above it — collection.Collection with Options.Snapshot is the one place
+// that double-buffers (ARCHITECTURE.md "Epochs & snapshot reads").
 //
 // Visibility contract: a mutation becomes visible to queries atomically at
 // the flush that applies it — on the enqueue that fills the batch to
@@ -43,7 +42,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/epoch"
 	"repro/internal/geom"
 	"repro/internal/obs"
 )
@@ -71,19 +69,8 @@ type Options struct {
 	// behavior). It exists so -exp alloc can measure the before/after of
 	// scratch reuse; production configurations leave it false.
 	DisableScratch bool
-	// Snapshot, when set, switches the Store to epoch-pinned snapshot
-	// reads: it must return a fresh, EMPTY index configured identically
-	// to the wrapped one (core.Replicator semantics — most callers pass
-	// the same constructor they built idx with). The Store then keeps two
-	// versions of the index, applies every committed window to both (the
-	// off-line one first), publishes through an atomic epoch pointer, and
-	// queries pin the published version instead of taking the read lock —
-	// a reader never waits on a flush, no matter how large the window.
-	// The wrapped index must be empty at New. Leave nil for the classic
-	// single-copy RWMutex mode.
-	Snapshot func() core.Index
-	// Obs, when set, registers the Store's metrics (flush counters, flush
-	// duration histogram, epoch gauges, all labeled layer="store") and
+	// Obs, when set, registers the Store's metrics (flush counters and
+	// the flush duration histogram, all labeled layer="store") and
 	// records a flush-pipeline span per flush into the registry's trace
 	// ring. Recording is atomics into preallocated storage — the
 	// zero-alloc flush guarantee holds with a live registry. Leave nil to
@@ -107,9 +94,6 @@ type Stats struct {
 	Deleted   uint64 // delete requests applied by those batches
 	Cancelled uint64 // insert/delete pairs netted out before applying
 	Pending   int    // mutations enqueued but not yet flushed
-	Epoch     uint64 // published snapshot epoch (0 in locked mode)
-	Versions  int    // live index versions: 2 in snapshot mode, 1 locked
-	RetireLag uint64 // published epochs whose displaced version has not drained
 }
 
 // Store wraps a core.Index for safe concurrent use. Create one with New;
@@ -142,20 +126,6 @@ type Store struct {
 	// enqueuers, so a warm Store flushes with zero allocations.
 	scratch flushScratch
 
-	// snap is the snapshot-read state, active when Options.Snapshot is
-	// set: the epoch manager publishing the current version, the standby
-	// twin the next flush writes, and a copy of the previously committed
-	// window (guarded by flushMu) replayed on the standby as catch-up
-	// before the new window applies — both twins see the same history,
-	// one window apart. The two Version structs and the saved buffers
-	// live for the Store's lifetime, preserving the zero-alloc flush.
-	snap struct {
-		enabled            bool
-		mgr                epoch.Manager[core.Index]
-		standby            *epoch.Version[core.Index]
-		savedIns, savedDel []geom.Point
-	}
-
 	flushes   atomic.Uint64
 	inserted  atomic.Uint64
 	deleted   atomic.Uint64
@@ -186,18 +156,6 @@ var _ core.Index = (*Store)(nil)
 // background flusher starts immediately; pair New with Close to stop it.
 func New(idx core.Index, opts Options) *Store {
 	s := &Store{opts: opts.withDefaults(), idx: idx, stop: make(chan struct{})}
-	if s.opts.Snapshot != nil {
-		if idx.Size() != 0 {
-			panic("store: Options.Snapshot requires an initially empty index")
-		}
-		mirror := s.opts.Snapshot()
-		if mirror == nil || mirror.Size() != 0 {
-			panic("store: Options.Snapshot must return a fresh, empty index")
-		}
-		s.snap.enabled = true
-		s.snap.mgr.Init(epoch.NewVersion(idx))
-		s.snap.standby = epoch.NewVersion(mirror)
-	}
 	if s.opts.Obs != nil {
 		s.met = newStoreMetrics(s.opts.Obs, s)
 	}
@@ -322,15 +280,11 @@ func (s *Store) Flush() int {
 	if m != nil {
 		clk = m.span.Stamp(obs.StageNet, clk)
 	}
-	if s.snap.enabled {
-		s.commitSnapshot(ins, del, clk)
-	} else {
-		s.rw.Lock()
-		s.idx.BatchDiff(ins, del)
-		s.rw.Unlock()
-		if m != nil {
-			m.span.Stamp(obs.StageApply, clk)
-		}
+	s.rw.Lock()
+	s.idx.BatchDiff(ins, del)
+	s.rw.Unlock()
+	if m != nil {
+		m.span.Stamp(obs.StageApply, clk)
 	}
 	// ins/del alias sc buffers; the index must not have retained them
 	// (the core.Index batch contract), so they are reusable next flush —
@@ -345,45 +299,10 @@ func (s *Store) Flush() int {
 		m.span.RawOps = len(ops)
 		m.span.NettedOps = len(ins) + len(del)
 		m.span.Cancelled = cancelled
-		if s.snap.enabled {
-			m.span.Epoch = s.snap.mgr.Epoch()
-		}
 		m.flushDur.Record(m.span.Dur())
 		m.trace.Record(m.span)
 	}
 	return len(ins) + len(del)
-}
-
-// commitSnapshot applies one netted window in snapshot mode (callers
-// hold flushMu): catch the standby up with the previously committed
-// window (the published twin already holds it), apply the new window,
-// publish, and wait out readers of the displaced version, which becomes
-// the next standby. Readers running concurrently pin whichever version
-// is current and never block. ins/del alias the netting scratch, so the
-// window is copied into the saved buffers before the scratch is reused.
-// clk is the flush-span clock (only read when metrics are attached).
-func (s *Store) commitSnapshot(ins, del []geom.Point, clk time.Time) {
-	m := s.met
-	st := s.snap.standby
-	st.Data.BatchDiff(s.snap.savedIns, s.snap.savedDel)
-	if m != nil {
-		clk = m.span.Stamp(obs.StageReplay, clk)
-	}
-	st.Data.BatchDiff(ins, del)
-	s.snap.savedIns = append(s.snap.savedIns[:0], ins...)
-	s.snap.savedDel = append(s.snap.savedDel[:0], del...)
-	if m != nil {
-		clk = m.span.Stamp(obs.StageApply, clk)
-	}
-	prev := s.snap.mgr.Publish(st)
-	if m != nil {
-		clk = m.span.Stamp(obs.StagePublish, clk)
-	}
-	s.snap.mgr.WaitDrained(prev)
-	if m != nil {
-		m.span.Stamp(obs.StageDrain, clk)
-	}
-	s.snap.standby = prev
 }
 
 // flushScratch is the per-Store flush buffer set (guarded by flushMu):
@@ -475,19 +394,6 @@ func (s *Store) Build(pts []geom.Point) {
 	s.pend.Lock()
 	s.pend.ops = nil
 	s.pend.Unlock()
-	if s.snap.enabled {
-		// Build both twins and clear the saved window — the new epoch
-		// starts from identical contents on both sides.
-		st := s.snap.standby
-		st.Data.Build(pts)
-		prev := s.snap.mgr.Publish(st)
-		s.snap.mgr.WaitDrained(prev)
-		prev.Data.Build(pts)
-		s.snap.standby = prev
-		s.snap.savedIns = s.snap.savedIns[:0]
-		s.snap.savedDel = s.snap.savedDel[:0]
-		return
-	}
 	s.rw.Lock()
 	s.idx.Build(pts)
 	s.rw.Unlock()
@@ -497,27 +403,15 @@ func (s *Store) Build(pts []geom.Point) {
 // answer reflects every enqueue that happened before the call.
 func (s *Store) Size() int {
 	s.Flush()
-	if s.snap.enabled {
-		v := s.snap.mgr.Pin()
-		defer s.snap.mgr.Unpin(v)
-		return v.Data.Size()
-	}
 	s.rw.RLock()
 	defer s.rw.RUnlock()
 	return s.idx.Size()
 }
 
 // KNN implements core.Index. Queries always observe a whole number of
-// flushed batches, never a half-applied one: in snapshot mode they pin
-// the published epoch's version (wait-free against flushes — the Unpin is
-// deferred so a panicking inner index never wedges the writer's drain);
-// in locked mode they share the read lock.
+// flushed batches, never a half-applied one: they share the read lock
+// with the flush writer.
 func (s *Store) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
-	if s.snap.enabled {
-		v := s.snap.mgr.Pin()
-		defer s.snap.mgr.Unpin(v)
-		return v.Data.KNN(q, k, dst)
-	}
 	s.rw.RLock()
 	defer s.rw.RUnlock()
 	return s.idx.KNN(q, k, dst)
@@ -525,11 +419,6 @@ func (s *Store) KNN(q geom.Point, k int, dst []geom.Point) []geom.Point {
 
 // RangeCount implements core.Index.
 func (s *Store) RangeCount(box geom.Box) int {
-	if s.snap.enabled {
-		v := s.snap.mgr.Pin()
-		defer s.snap.mgr.Unpin(v)
-		return v.Data.RangeCount(box)
-	}
 	s.rw.RLock()
 	defer s.rw.RUnlock()
 	return s.idx.RangeCount(box)
@@ -537,11 +426,6 @@ func (s *Store) RangeCount(box geom.Box) int {
 
 // RangeList implements core.Index.
 func (s *Store) RangeList(box geom.Box, dst []geom.Point) []geom.Point {
-	if s.snap.enabled {
-		v := s.snap.mgr.Pin()
-		defer s.snap.mgr.Unpin(v)
-		return v.Data.RangeList(box, dst)
-	}
 	s.rw.RLock()
 	defer s.rw.RUnlock()
 	return s.idx.RangeList(box, dst)
@@ -559,18 +443,11 @@ func (s *Store) Pending() int {
 // may lag by that one batch. Stats never takes the writer lock, so it
 // does not block behind an in-flight flush.
 func (s *Store) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Flushes:   s.flushes.Load(),
 		Inserted:  s.inserted.Load(),
 		Deleted:   s.deleted.Load(),
 		Cancelled: s.cancelled.Load(),
 		Pending:   s.Pending(),
-		Versions:  1,
 	}
-	if s.snap.enabled {
-		st.Epoch = s.snap.mgr.Epoch()
-		st.Versions = 2
-		st.RetireLag = s.snap.mgr.RetireLag()
-	}
-	return st
 }

@@ -95,7 +95,7 @@ func DefaultOptions(dims int, universe Box) Options {
 
 // replicable wraps a freshly constructed index so it satisfies
 // core.Replicator: the retained constructor mints the identically
-// configured empty twin that snapshot mode (Store/Collection
+// configured empty twin that snapshot mode (Collection
 // Options.Snapshot, Server default) double-buffers against. Every psi
 // constructor goes through this, so any psi-built tree can serve
 // epoch-pinned snapshot reads without the caller threading a factory.
@@ -233,11 +233,10 @@ type Store = store.Store
 
 // StoreOptions tunes a Store: MaxBatch is the coalescing threshold that
 // triggers a synchronous flush, FlushInterval (optional) runs a background
-// flusher bounding staleness, and Snapshot (optional) supplies the empty
-// twin-index factory that switches reads to the epoch-pinned snapshot
-// path — queries never wait behind a flush. Every psi constructor returns
-// an index whose NewReplica method is such a factory. The zero value is
-// usable (locked reads).
+// flusher bounding staleness. The zero value is usable. Store queries
+// share a read lock with the flusher; for reads that never wait behind a
+// flush, use a Collection with CollectionOptions.Snapshot — the one layer
+// that double-buffers.
 type StoreOptions = store.Options
 
 // StoreStats is a snapshot of a Store's lifetime flush counters.
