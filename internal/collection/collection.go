@@ -70,7 +70,7 @@ type Options struct {
 	// behind Set calls under light write traffic. Stop it with Close.
 	FlushInterval time.Duration
 	// DisableScratch turns off the flush- and query-path buffer recycling
-	// (op tape, netting map, diff buffers, reverse-multimap freelist,
+	// (op tape, netting slots, diff buffers, reverse-multimap freelist,
 	// query scratch), so every window and query allocates fresh — the
 	// pre-reuse behavior. It exists so -exp alloc can measure the
 	// before/after of scratch reuse; production configurations leave it
@@ -168,8 +168,9 @@ type Collection[ID comparable] struct {
 	// (guarded by flushMu) — its netted ops plus the planned index diff —
 	// replayed on the standby as catch-up before the new window applies,
 	// so both twins see the same history one window apart. The two
-	// Version structs and the saved buffers live for the Collection's
-	// lifetime, preserving the zero-alloc flush.
+	// Version structs live for the Collection's lifetime; the saved
+	// buffers are reused like the flush scratch (see maxRetainedWindow),
+	// preserving the zero-alloc flush.
 	snap struct {
 		enabled            bool
 		mgr                epoch.Manager[*collState[ID]]
@@ -179,7 +180,7 @@ type Collection[ID comparable] struct {
 	}
 
 	// scratch is the flush-path buffer set (guarded by flushMu): the
-	// recycled op tape, the last-write-wins netting map, and the diff
+	// recycled op tape, the last-write-wins netting slots, and the diff
 	// buffers handed to BatchDiff. revFree (guarded by rw's write side)
 	// recycles the reverse multimap's small per-point ID slices, so a
 	// steady stream of moves churns no fresh slices. queryPool recycles
@@ -267,15 +268,43 @@ func newCollState[ID comparable](idx core.Index) *collState[ID] {
 	}
 }
 
-// collScratch is the recycled flush state. Everything grows to the window
-// high-water mark and is then reused.
+// collScratch is the recycled flush state. Every buffer is reset per
+// window at a cost in proportion to that window — never to its retained
+// capacity — and is dropped instead of kept after a window of more than
+// maxRetainedWindow ops.
 type collScratch[ID comparable] struct {
-	spare    []op[ID]
-	final    map[ID]op[ID]
+	spare []op[ID]
+	// slot maps each ID of the window being netted to its index in net,
+	// the window's netted ops in first-enqueue order. A later op on the
+	// same ID overwrites its slot (last write wins). slot holds only the
+	// current window's keys and is emptied key by key right after
+	// netting.
+	slot     map[ID]int
+	net      []op[ID]
 	ins, del []geom.Point
-	// jops is the journal hook's window buffer, rebuilt from the
-	// netting map each flush so journaling allocates nothing warm.
+	// jops is the journal hook's window buffer, rebuilt from net each
+	// flush so journaling allocates nothing warm.
 	jops []wal.Op[ID]
+}
+
+// maxRetainedWindow bounds the flush scratch kept between windows: after
+// a window of more netted (or raw) ops than this, its buffers are
+// dropped rather than recycled, so a bulk window — a replication
+// bootstrap, WAL recovery, a bulk load — leaves nothing population-sized
+// behind. Serving windows (MaxBatch, 1024 by default) stay far below it
+// and keep the zero-alloc flush.
+const maxRetainedWindow = 1 << 14
+
+// recycle empties a window buffer for the next window, or drops it when
+// the window that filled it held more than maxRetainedWindow elements.
+// Kept buffers are cleared so their capacity never pins the window's ID
+// values while the Collection idles.
+func recycle[T any](s []T) []T {
+	if len(s) > maxRetainedWindow {
+		return nil
+	}
+	clear(s)
+	return s[:0]
 }
 
 // queryScratch is one query's resolution state: the raw geometric hits
@@ -429,8 +458,11 @@ func (c *Collection[ID]) Close() {
 
 // SetJournal installs (or, with nil, removes) the durability commit
 // hook: every subsequent flush calls fn under the flush lock with the
-// committed netted window — at most one op per ID — before the window
-// is applied or published. wal.Log.AppendWindow is the intended hook;
+// committed netted window — at most one op per ID, listed in the order
+// each ID was first enqueued in the window and carrying its last write —
+// before the window is applied or published. The order depends only on
+// the enqueue history, so the same window journals byte-identically
+// wherever it is flushed. wal.Log.AppendWindow is the intended hook;
 // the slice is reused across flushes and must not be retained. Install
 // it before the ops that need journaling are flushed — the service
 // layer installs it between crash-recovery replay (whose windows are
@@ -582,17 +614,11 @@ func (c *Collection[ID]) Flush() int {
 
 	// Net the window: the last op per ID wins, every earlier op on that
 	// ID is superseded. Identity makes this exact — no order-aware
-	// matching needed.
-	// sc.final is empty here: every completed flush clears it on the way
-	// out (so retained capacity never pins ID values while idle).
-	if sc.final == nil {
-		sc.final = make(map[ID]op[ID], len(ops))
-	}
-	final := sc.final
-	for _, o := range ops {
-		final[o.id] = o
-	}
-	cancelled := len(ops) - len(final)
+	// matching needed. Each ID keeps the slot of its first op, so the
+	// netted window lists IDs in first-enqueue order and every pass below
+	// walks a dense slice of the window's own size.
+	net := sc.netWindow(ops)
+	cancelled := len(ops) - len(net)
 	c.cancelled.Add(uint64(cancelled))
 	if m != nil {
 		clk = m.span.Stamp(obs.StageNet, clk)
@@ -607,14 +633,13 @@ func (c *Collection[ID]) Flush() int {
 	// internal/service).
 	if c.journal != nil {
 		jops := sc.jops[:0]
-		for _, o := range final {
+		for _, o := range net {
 			jops = append(jops, wal.Op[ID]{ID: o.id, P: o.p, Del: o.del})
 		}
 		if err := c.journal(jops); err != nil {
 			c.journalErrs.Add(1)
 		}
-		clear(jops) // drop ID values so recycled capacity pins nothing
-		sc.jops = jops[:0]
+		sc.jops = recycle(jops)
 		if m != nil {
 			clk = m.span.Stamp(obs.StageLog, clk)
 		}
@@ -623,19 +648,15 @@ func (c *Collection[ID]) Flush() int {
 	var applied int
 	var nIns, nMove, nDel uint64
 	if c.snap.enabled {
-		applied, nIns, nMove, nDel = c.commitSnapshot(sc, final, clk)
+		applied, nIns, nMove, nDel = c.commitSnapshot(sc, net, clk)
 	} else {
-		applied, nIns, nMove, nDel = c.commitLocked(sc, final, clk)
+		applied, nIns, nMove, nDel = c.commitLocked(sc, net, clk)
 	}
 
-	// The netted tape and the ins/del buffers are dead: the index must
-	// not have retained the batch slices (the core.Index contract), so
-	// everything is reusable next window. Clear the tape and the netting
-	// map before retiring them so recycled capacity never pins the
-	// window's ID values (strings, typically) while the collection idles.
-	clear(ops)
-	clear(final)
-	sc.spare = ops[:0]
+	// The raw tape is dead: it is recycled as the next window's spare
+	// (cleared, so its capacity pins no ID values) unless it was a bulk
+	// window.
+	sc.spare = recycle(ops)
 
 	c.flushes.Add(1)
 	c.inserted.Add(nIns)
@@ -656,15 +677,41 @@ func (c *Collection[ID]) Flush() int {
 	return applied
 }
 
+// netWindow nets one raw window into sc.net by last-write-wins per ID, in
+// first-enqueue order, and returns it. The slot map is emptied again key
+// by key before returning, and dropped after a bulk window, so netting
+// costs O(window) whatever the largest window ever netted was.
+func (sc *collScratch[ID]) netWindow(ops []op[ID]) []op[ID] {
+	if sc.slot == nil {
+		sc.slot = make(map[ID]int, len(ops))
+	}
+	slot, net := sc.slot, sc.net[:0]
+	for _, o := range ops {
+		if i, ok := slot[o.id]; ok {
+			net[i] = o
+			continue
+		}
+		slot[o.id] = len(net)
+		net = append(net, o)
+	}
+	for _, o := range net {
+		delete(slot, o.id)
+	}
+	if len(net) > maxRetainedWindow {
+		sc.slot = nil
+	}
+	return net
+}
+
 // planDiff turns one netted window into the (ins, del) index batches by
 // comparing against st's forward table (callers hold flushMu; only
 // flushes write fwd, so no reader lock is needed). The returned slices
 // alias the scratch.
-func (c *Collection[ID]) planDiff(sc *collScratch[ID], st *collState[ID], final map[ID]op[ID]) (ins, del []geom.Point, nIns, nMove, nDel uint64) {
+func (c *Collection[ID]) planDiff(sc *collScratch[ID], st *collState[ID], net []op[ID]) (ins, del []geom.Point, nIns, nMove, nDel uint64) {
 	ins = sc.ins[:0]
 	del = sc.del[:0]
-	for id, o := range final {
-		old, live := st.fwd[id]
+	for _, o := range net {
+		old, live := st.fwd[o.id]
 		switch {
 		case o.del && live:
 			del = append(del, old)
@@ -689,12 +736,12 @@ func (c *Collection[ID]) planDiff(sc *collScratch[ID], st *collState[ID], final 
 // any inner deferring layer inside the commit so the triple never
 // disagrees at a read boundary) and then every netted op through the
 // forward/reverse tables.
-func (c *Collection[ID]) applyDiff(st *collState[ID], ins, del []geom.Point, final map[ID]op[ID]) {
+func (c *Collection[ID]) applyDiff(st *collState[ID], ins, del []geom.Point, net []op[ID]) {
 	st.idx.BatchDiff(ins, del)
 	if f, ok := st.idx.(interface{ Flush() int }); ok {
 		f.Flush()
 	}
-	for _, o := range final {
+	for _, o := range net {
 		c.applyOp(st, o)
 	}
 }
@@ -721,13 +768,17 @@ func (c *Collection[ID]) applyOp(st *collState[ID], o op[ID]) {
 
 // purgeOverlay drops overlay entries the committed window supersedes.
 // Ops enqueued after the tape swap carry higher sequence numbers and
-// survive.
-func (c *Collection[ID]) purgeOverlay(final map[ID]op[ID]) {
+// survive. A bulk window's overlay is replaced once it empties, so its
+// capacity does not outlive the window.
+func (c *Collection[ID]) purgeOverlay(net []op[ID]) {
 	c.pend.Lock()
-	for id, o := range final {
-		if tail, ok := c.pend.overlay[id]; ok && tail.seq <= o.seq {
-			delete(c.pend.overlay, id)
+	for _, o := range net {
+		if tail, ok := c.pend.overlay[o.id]; ok && tail.seq <= o.seq {
+			delete(c.pend.overlay, o.id)
 		}
+	}
+	if len(net) > maxRetainedWindow && len(c.pend.overlay) == 0 {
+		c.pend.overlay = make(map[ID]tailOp)
 	}
 	c.pend.Unlock()
 }
@@ -738,22 +789,25 @@ func (c *Collection[ID]) purgeOverlay(final map[ID]op[ID]) {
 // committed state it then reads must already include every purged op.
 // clk is the flush-span clock (only read when metrics are attached);
 // planning counts toward the net stage, the locked commit toward apply.
-func (c *Collection[ID]) commitLocked(sc *collScratch[ID], final map[ID]op[ID], clk time.Time) (applied int, nIns, nMove, nDel uint64) {
+func (c *Collection[ID]) commitLocked(sc *collScratch[ID], net []op[ID], clk time.Time) (applied int, nIns, nMove, nDel uint64) {
 	m := c.met
 	st := c.live
-	ins, del, nIns, nMove, nDel := c.planDiff(sc, st, final)
+	ins, del, nIns, nMove, nDel := c.planDiff(sc, st, net)
 	if m != nil {
 		clk = m.span.Stamp(obs.StageNet, clk)
 	}
 	c.rw.Lock()
-	c.applyDiff(st, ins, del, final)
-	c.purgeOverlay(final)
+	c.applyDiff(st, ins, del, net)
+	c.purgeOverlay(net)
 	c.rw.Unlock()
 	if m != nil {
 		m.span.Stamp(obs.StageApply, clk)
 	}
-	sc.ins, sc.del = ins[:0], del[:0]
-	return len(ins) + len(del), nIns, nMove, nDel
+	// The index must not have retained the batch slices (the core.Index
+	// contract), so every window buffer is reusable next window.
+	applied = len(ins) + len(del)
+	sc.ins, sc.del, sc.net = recycle(ins), recycle(del), recycle(net)
+	return applied, nIns, nMove, nDel
 }
 
 // commitSnapshot applies one netted window in snapshot mode (callers
@@ -767,7 +821,7 @@ func (c *Collection[ID]) commitLocked(sc *collScratch[ID], final map[ID]op[ID], 
 // Get that misses the overlay pins a version that already includes every
 // purged op. The flush returns only after the displaced version drains,
 // at which point it becomes the next standby.
-func (c *Collection[ID]) commitSnapshot(sc *collScratch[ID], final map[ID]op[ID], clk time.Time) (applied int, nIns, nMove, nDel uint64) {
+func (c *Collection[ID]) commitSnapshot(sc *collScratch[ID], net []op[ID], clk time.Time) (applied int, nIns, nMove, nDel uint64) {
 	m := c.met
 	st := c.snap.standby.Data
 	st.idx.BatchDiff(c.snap.savedIns, c.snap.savedDel)
@@ -777,34 +831,35 @@ func (c *Collection[ID]) commitSnapshot(sc *collScratch[ID], final map[ID]op[ID]
 	for _, o := range c.snap.savedOps {
 		c.applyOp(st, o)
 	}
-	clear(c.snap.savedOps) // do not pin the replayed window's ID values
+	// The replayed window is dead; a bulk one is dropped here rather
+	// than held until the next bulk window.
+	replayed := recycle(c.snap.savedOps)
+	c.snap.savedIns = recycle(c.snap.savedIns)
+	c.snap.savedDel = recycle(c.snap.savedDel)
 	if m != nil {
 		clk = m.span.Stamp(obs.StageReplay, clk)
 	}
 
-	ins, del, nIns, nMove, nDel := c.planDiff(sc, st, final)
+	ins, del, nIns, nMove, nDel := c.planDiff(sc, st, net)
 	if m != nil {
 		clk = m.span.Stamp(obs.StageNet, clk)
 	}
-	c.applyDiff(st, ins, del, final)
+	c.applyDiff(st, ins, del, net)
 
-	// Save the window for the next catch-up: ins/del alias the netting
-	// scratch and final is cleared by the caller, so both are copied
-	// into buffers that persist across flushes.
-	saved := c.snap.savedOps[:0]
-	for _, o := range final {
-		saved = append(saved, o)
-	}
-	c.snap.savedOps = saved
-	c.snap.savedIns = append(c.snap.savedIns[:0], ins...)
-	c.snap.savedDel = append(c.snap.savedDel[:0], del...)
-	sc.ins, sc.del = ins[:0], del[:0]
+	// Save the window for the next catch-up: the netted ops change hands
+	// (the replayed buffer becomes the next window's netting slice), while
+	// ins/del alias the diff scratch and are copied.
+	c.snap.savedOps, sc.net = net, replayed
+	c.snap.savedIns = append(c.snap.savedIns, ins...)
+	c.snap.savedDel = append(c.snap.savedDel, del...)
+	applied = len(ins) + len(del)
+	sc.ins, sc.del = recycle(ins), recycle(del)
 	if m != nil {
 		clk = m.span.Stamp(obs.StageApply, clk)
 	}
 
 	prev := c.snap.mgr.Publish(c.snap.standby)
-	c.purgeOverlay(final)
+	c.purgeOverlay(net)
 	if m != nil {
 		clk = m.span.Stamp(obs.StagePublish, clk)
 	}
@@ -813,7 +868,7 @@ func (c *Collection[ID]) commitSnapshot(sc *collScratch[ID], final map[ID]op[ID]
 		m.span.Stamp(obs.StageDrain, clk)
 	}
 	c.snap.standby = prev
-	return len(ins) + len(del), nIns, nMove, nDel
+	return applied, nIns, nMove, nDel
 }
 
 // revRemove drops one occurrence of id from st's rev[p] (callers hold

@@ -288,8 +288,11 @@ func (s *Store) Flush() int {
 	}
 	// ins/del alias sc buffers; the index must not have retained them
 	// (the core.Index batch contract), so they are reusable next flush —
-	// as is the swapped-out op log.
+	// as is the swapped-out op log — unless this was a bulk window.
 	sc.spare = ops[:0]
+	if len(ops) > maxRetainedWindow {
+		*sc = flushScratch{}
+	}
 	s.flushes.Add(1)
 	s.cancelled.Add(uint64(cancelled))
 	s.inserted.Add(uint64(len(ins)))
@@ -306,13 +309,22 @@ func (s *Store) Flush() int {
 }
 
 // flushScratch is the per-Store flush buffer set (guarded by flushMu):
-// the recycled op log plus the netting buffers. Everything grows to the
-// window high-water mark and is then reused verbatim.
+// the recycled op log plus the netting buffers. Every buffer is reset per
+// window at a cost in proportion to that window — the netting maps are
+// emptied key by key, never cleared at their retained capacity — and the
+// whole set is dropped after a window of more than maxRetainedWindow ops.
 type flushScratch struct {
 	spare       []pendOp
 	ins, del    []geom.Point
 	avail, skip map[geom.Point]int
 }
+
+// maxRetainedWindow bounds the flush scratch kept between windows: a
+// window of more ops than this (a bulk load) has its buffers dropped
+// rather than recycled, so it leaves nothing population-sized behind.
+// Serving windows (MaxBatch, 1024 by default) stay far below it and keep
+// the zero-alloc flush.
+const maxRetainedWindow = 1 << 14
 
 // net reduces one flush window's ordered op log to the (ins, del)
 // batches whose BatchDiff application has the same net effect as running
@@ -347,13 +359,12 @@ func (sc *flushScratch) net(ops []pendOp) (ins, del []geom.Point, cancelled int)
 	}
 	// Pass 1, in order: count unmatched preceding inserts per point; a
 	// delete with one available consumes it, the rest are real deletes.
+	// Both maps are empty here: the previous mixed window emptied them.
 	if sc.avail == nil {
 		sc.avail = make(map[geom.Point]int)
 		sc.skip = make(map[geom.Point]int)
 	}
 	avail, skip := sc.avail, sc.skip // skip: insert occurrences to drop per point
-	clear(avail)
-	clear(skip)
 	del = sc.del[:0]
 	for _, op := range ops {
 		switch {
@@ -380,6 +391,14 @@ func (sc *flushScratch) net(ops []pendOp) (ins, del []geom.Point, cancelled int)
 			continue
 		}
 		ins = append(ins, op.p)
+	}
+	// Empty the maps by the window's own keys (every key is an inserted
+	// point), so the reset costs O(window), not O(retained capacity).
+	for _, op := range ops {
+		if !op.del {
+			delete(avail, op.p)
+			delete(skip, op.p)
+		}
 	}
 	sc.ins, sc.del = ins, del
 	return ins, del, cancelled

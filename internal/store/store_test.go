@@ -422,3 +422,42 @@ func TestDefaultMaxBatchMatchesGrain(t *testing.T) {
 			DefaultMaxBatch, parallel.DefaultGrain)
 	}
 }
+
+// TestBulkWindowReleasesScratch pins the Store's retention bound: a
+// mixed window of more than maxRetainedWindow ops leaves no flush
+// scratch behind, a normal mixed window leaves its netting maps empty
+// (they are reset by the window's own keys, not cleared at capacity),
+// and warm windows after the bulk one are allocation-free again.
+func TestBulkWindowReleasesScratch(t *testing.T) {
+	s := New(core.NewNull(2), Options{MaxBatch: 1 << 30})
+	bulk := uniquePoints(maxRetainedWindow, 11)
+	s.BatchInsert(bulk)
+	s.BatchDelete(bulk[:len(bulk)/2]) // mixed: the netting maps fill
+	s.BatchInsert(bulk)
+	if got, want := s.Flush(), 3*len(bulk)/2; got != want {
+		t.Fatalf("bulk Flush applied %d, want %d", got, want)
+	}
+	sc := &s.scratch
+	if sc.avail != nil || sc.skip != nil || sc.ins != nil || sc.del != nil || sc.spare != nil {
+		t.Fatalf("flush scratch retained after a %d-op window", 5*len(bulk)/2)
+	}
+	if n := cap(s.pend.ops); n > maxRetainedWindow {
+		t.Fatalf("pending tape retains capacity %d", n)
+	}
+
+	pts := uniquePoints(512, 7)
+	window := func() {
+		for _, p := range pts {
+			s.Insert(p)
+			s.Delete(p)
+		}
+		s.Flush()
+	}
+	window()
+	if len(sc.avail) != 0 || len(sc.skip) != 0 {
+		t.Fatalf("netting maps hold %d/%d keys after their window", len(sc.avail), len(sc.skip))
+	}
+	if allocs := testing.AllocsPerRun(50, window); allocs != 0 {
+		t.Fatalf("warm netted flush after a bulk window allocates %.2f/op, want 0", allocs)
+	}
+}
